@@ -18,15 +18,6 @@ namespace daemon {
 
 namespace {
 
-/** Dataflow families a model request enumerates — must mirror the
- *  scheduler's candidate enumeration so pre-planning warms exactly the
- *  keys Scheduler::evaluate will look up. */
-constexpr sim::DataflowKind kModelFamilies[] = {
-    sim::DataflowKind::Canonical,
-    sim::DataflowKind::ChannelParallel,
-    sim::DataflowKind::WindowParallel,
-};
-
 std::string
 reasonLine(const Request &req, const char *status, const std::string &reason)
 {
@@ -73,80 +64,63 @@ Daemon::planShapeLocked(const Request &req, ClientStats *stats, int aw,
                         int ah)
 {
     const sim::EngineMode mode = req.engine ? *req.engine : opts_.engine;
+    const sim::Scenario *scenario = sim::findScenario(req.scenario);
+    FEATHER_CHECK(scenario != nullptr, "scenario validated earlier");
+    const int eff_aw = aw > 0 ? aw : scenario->default_aw;
+    const int eff_ah = ah > 0 ? ah : scenario->default_ah;
+    std::optional<sim::DataflowKind> forced;
+    if (!req.dataflow.empty()) forced = sim::parseDataflow(req.dataflow);
     ShapeInfo info;
-    // One planning point: count hit/miss against the admission-time
-    // planning history (racing the pool's runtime lookups would make
-    // per-client counters timing-dependent), then actually plan.
-    const auto plan_point = [&](sim::DataflowKind kind,
-                                const LayerSpec &layer, int paw, int pah,
-                                std::string *err) {
+    for (const sim::ScenarioLayer &sl : scenario->layers) {
+        const sim::DataflowKind kind = forced ? *forced : sl.dataflow;
         const std::string key =
-            serve::PlanCache::key(mode, kind, layer, paw, pah);
+            serve::PlanCache::key(mode, kind, sl.layer, eff_aw, eff_ah);
         info.keys.push_back(key);
-        if (planned_keys_.insert(key).second) {
-            ++stats->cache_misses;
-        } else {
-            ++stats->cache_hits;
-        }
-        return cache_.getOrPlan(mode, kind, layer, paw, pah, err);
-    };
-
-    if (!req.isModel()) {
-        const sim::Scenario *scenario = sim::findScenario(req.scenario);
-        FEATHER_CHECK(scenario != nullptr, "scenario validated earlier");
-        const int eff_aw = aw > 0 ? aw : scenario->default_aw;
-        const int eff_ah = ah > 0 ? ah : scenario->default_ah;
-        std::optional<sim::DataflowKind> forced;
-        if (!req.dataflow.empty()) forced = sim::parseDataflow(req.dataflow);
-        bool first = true;
-        for (const sim::ScenarioLayer &sl : scenario->layers) {
-            std::string err;
-            const std::optional<sim::LayerPlan> plan = plan_point(
-                forced ? *forced : sl.dataflow, sl.layer, eff_aw, eff_ah,
-                &err);
-            if (!plan) {
-                info.error = strCat("layer ", sl.layer.name, ": ", err);
-                return info;
-            }
-            if (first) {
-                info.in_layout = plan->in_layout;
-                info.in_extents = iactExtents(sl.layer);
-                first = false;
-            }
-        }
-        info.feasible = true;
-        return info;
-    }
-
-    const model::ModelGraph *graph = model::findModel(req.model);
-    FEATHER_CHECK(graph != nullptr, "model validated earlier");
-    const int eff_aw = aw > 0 ? aw : graph->default_aw;
-    const int eff_ah = ah > 0 ? ah : graph->default_ah;
-    bool first = true;
-    for (const model::ModelLayer &ml : graph->layers) {
-        bool feasible = false;
+        countPointLocked(key, stats);
         std::string err;
-        for (sim::DataflowKind kind : kModelFamilies) {
-            const std::optional<sim::LayerPlan> plan =
-                plan_point(kind, ml.spec, eff_aw, eff_ah, &err);
-            if (plan && !feasible) {
-                feasible = true;
-                if (first) {
-                    info.in_layout = plan->in_layout;
-                    info.in_extents = iactExtents(ml.spec);
-                    first = false;
-                }
-            }
-        }
-        if (!feasible) {
-            info.error = strCat("no dataflow family fits ", ml.spec.name,
-                                " on a ", eff_aw, "x", eff_ah, " array: ",
-                                err);
+        const std::optional<sim::LayerPlan> plan =
+            cache_.getOrPlan(mode, kind, sl.layer, eff_aw, eff_ah, &err);
+        if (!plan) {
+            info.error = strCat("layer ", sl.layer.name, ": ", err);
             return info;
+        }
+        if (&sl == &scenario->layers.front()) {
+            info.in_layout = plan->in_layout;
+            info.in_extents = iactExtents(sl.layer);
         }
     }
     info.feasible = true;
     return info;
+}
+
+void
+Daemon::countPointLocked(const std::string &key, ClientStats *stats)
+{
+    // Count against the admission-time planning history, not the cache:
+    // racing the pool's runtime lookups would make per-client counters
+    // timing-dependent.
+    if (planned_keys_.insert(key).second) {
+        ++stats->cache_misses;
+    } else {
+        ++stats->cache_hits;
+    }
+}
+
+model::SchedulerOptions
+Daemon::schedulerOptions(const Request &req)
+{
+    model::SchedulerOptions mopts;
+    mopts.aw = req.aw;
+    mopts.ah = req.ah;
+    // One request = one pool slot; parallelism comes from serving many
+    // requests, not from fanning out inside one.
+    mopts.num_threads = 1;
+    mopts.engine = req.engine ? *req.engine : opts_.engine;
+    mopts.shared_cache = &cache_;
+    // Fleet mode: the scheduler splits the graph across the fleet's
+    // devices itself (whole-graph pipeline scheduling) and ignores aw/ah.
+    if (opts_.fleet.enabled()) mopts.fleet = opts_.fleet;
+    return mopts;
 }
 
 std::string
@@ -178,6 +152,32 @@ Daemon::preplanLocked(Pending *p, ClientStats *stats)
         return int(p->variants.size()) - 1;
     };
 
+    const std::vector<DeviceSpec> &devs = opts_.fleet.devices;
+    if (req.isModel()) {
+        // The Scheduler decides which (layer, device, family) points the
+        // graph plans, at which shape and under which cache scope;
+        // enumerate() plans them through cache_, and admission counts
+        // exactly those points.
+        model::Scheduler sched(schedulerOptions(req));
+        std::string err;
+        const model::Enumeration en =
+            sched.enumerate(*model::findModel(req.model), &err);
+        p->dev_plan.resize(devs.size());
+        for (const model::PlanPoint &pt : en.points) {
+            if (pt.device < 0) {
+                countPointLocked(pt.key, stats);
+                continue;
+            }
+            const size_t d = size_t(pt.device);
+            p->dev_plan[d].keys.push_back(pt.key);
+            countPointLocked(serve::PlanCache::scopedKey(pt.key, devs[d].name),
+                             stats);
+        }
+        if (!en.ok()) return err;
+        add_variant(req.aw, req.ah);
+        return "";
+    }
+
     if (!opts_.fleet.enabled()) {
         const ShapeInfo info =
             planShapeLocked(req, stats, req.aw, req.ah);
@@ -186,18 +186,10 @@ Daemon::preplanLocked(Pending *p, ClientStats *stats)
         return "";
     }
 
-    if (req.isModel()) {
-        // Whole-graph over the fleet: the scheduler places each layer
-        // itself, so planning warms its full (layer, family, device)
-        // enumeration instead of one shape per device.
-        return planModelFleetLocked(p, stats);
-    }
-
     // Fleet: plan once per *distinct* resolved shape (a request that pins
     // --aw/--ah resolves to the same shape everywhere), share the
     // resulting variant between same-shaped devices, and remember per
     // device what its execution would look like.
-    const std::vector<DeviceSpec> &devs = opts_.fleet.devices;
     p->dev_plan.resize(devs.size());
     std::map<std::pair<int, int>, std::pair<ShapeInfo, int>> shapes;
     std::string first_error;
@@ -230,83 +222,6 @@ Daemon::preplanLocked(Pending *p, ClientStats *stats)
         return strCat("no fleet device can run this request: ",
                       first_error);
     }
-    return "";
-}
-
-std::string
-Daemon::planModelFleetLocked(Pending *p, ClientStats *stats)
-{
-    const Request &req = p->req;
-    const sim::EngineMode mode = req.engine ? *req.engine : opts_.engine;
-    const model::ModelGraph *graph = model::findModel(req.model);
-    FEATHER_CHECK(graph != nullptr, "model validated earlier");
-    const std::vector<DeviceSpec> &devs = opts_.fleet.devices;
-    p->dev_plan.resize(devs.size());
-
-    // Mirror Scheduler::evaluate's fleet enumeration exactly: every
-    // (layer, family) point on every usable device, at the device's own
-    // shape, through the device's cache scope. A layer is schedulable
-    // when at least one (device, family) point plans. Shape pins
-    // (req.aw/req.ah) are ignored here — the fleet scheduler owns the
-    // shapes (documented in the README).
-    std::vector<char> layer_ok(graph->layers.size(), 0);
-    std::vector<std::string> layer_err(graph->layers.size());
-    for (size_t d = 0; d < devs.size(); ++d) {
-        DevicePlan &dp = p->dev_plan[d];
-        // Staged stages are pinned by the schedule, never placed, so
-        // every device is "feasible" for variantFor's purposes; the
-        // single variant holds the whole-graph execution.
-        dp.feasible = true;
-        dp.variant = 0;
-        if (devs[d].aw < 2 || !isPow2(uint64_t(devs[d].aw)) ||
-            devs[d].ah < 1) {
-            continue; // the scheduler skips unusable shapes too
-        }
-        bool dev_first = true;
-        for (size_t li = 0; li < graph->layers.size(); ++li) {
-            const LayerSpec &spec = graph->layers[li].spec;
-            for (sim::DataflowKind kind : kModelFamilies) {
-                const std::string key = serve::PlanCache::key(
-                    mode, kind, spec, devs[d].aw, devs[d].ah);
-                dp.keys.push_back(key);
-                if (planned_keys_
-                        .insert(serve::PlanCache::scopedKey(key,
-                                                            devs[d].name))
-                        .second) {
-                    ++stats->cache_misses;
-                } else {
-                    ++stats->cache_hits;
-                }
-                std::string err;
-                const std::optional<sim::LayerPlan> plan =
-                    cache_.getOrPlan(mode, kind, spec, devs[d].aw,
-                                     devs[d].ah, &err, devs[d].name);
-                if (!plan) {
-                    if (layer_err[li].empty()) layer_err[li] = err;
-                    continue;
-                }
-                layer_ok[li] = 1;
-                if (dev_first) {
-                    dp.in_layout = plan->in_layout;
-                    dp.in_extents = iactExtents(spec);
-                    dev_first = false;
-                }
-            }
-        }
-    }
-    for (size_t li = 0; li < graph->layers.size(); ++li) {
-        if (!layer_ok[li]) {
-            return strCat("no fleet device fits ",
-                          graph->layers[li].spec.name, ": ",
-                          layer_err[li].empty() ? "no usable device shape"
-                                                : layer_err[li]);
-        }
-    }
-    // One variant: the whole-graph fleet schedule (shape comes from the
-    // schedule's per-device placement, not from the variant).
-    auto v = std::make_unique<ExecVariant>();
-    v->done_future = v->done.get_future();
-    p->variants.push_back(std::move(v));
     return "";
 }
 
@@ -444,18 +359,8 @@ Daemon::execute(Pending *p, ExecVariant *v)
                 model::parseSchedule(p->req.schedule);
             FEATHER_CHECK(policy.has_value(),
                           "pre-validated schedule vanished");
-            model::SchedulerOptions mopts;
-            mopts.aw = v->aw;
-            mopts.ah = v->ah;
-            // One request = one pool slot; parallelism comes from serving
-            // many requests, not from fanning out inside one.
-            mopts.num_threads = 1;
+            model::SchedulerOptions mopts = schedulerOptions(p->req);
             mopts.seed = seed;
-            mopts.engine = mode;
-            mopts.shared_cache = &cache_;
-            // Fleet mode: the scheduler splits the graph across the
-            // fleet's devices itself (whole-graph pipeline scheduling).
-            if (opts_.fleet.enabled()) mopts.fleet = opts_.fleet;
             model::Scheduler sched(mopts);
             std::string err;
             const std::optional<model::Evaluation> eval =
@@ -474,22 +379,12 @@ Daemon::execute(Pending *p, ExecVariant *v)
                 r.checked = result->checked;
                 r.mismatches = result->mismatches;
                 if (opts_.fleet.enabled()) {
-                    // The DES pipeline: one stage per contiguous
-                    // same-device segment, the cross-device edge priced
-                    // on the segment it feeds.
-                    for (size_t i = 0; i < result->layers.size(); ++i) {
-                        const model::LayerChoice &lc = result->layers[i];
-                        if (r.segments.empty() ||
-                            r.segments.back().device != lc.device) {
-                            if (!r.path.empty()) r.path += ">";
-                            r.path += lc.device_name;
-                            ExecSegment seg;
-                            seg.device = lc.device;
-                            seg.handoff_cycles =
-                                i > 0 ? lc.reorder_cycles : 0;
-                            r.segments.push_back(seg);
-                        }
-                        r.segments.back().cycles += lc.cycles;
+                    // The DES pipeline: the schedule's stages, each
+                    // cross-device edge priced on the stage it feeds.
+                    r.stages = result->stages();
+                    for (const model::Stage &stage : r.stages) {
+                        if (!r.path.empty()) r.path += ">";
+                        r.path += result->layers[stage.first].device_name;
                     }
                     r.first_in_layout =
                         result->layers.front().plan.in_layout;
@@ -512,7 +407,7 @@ Daemon::execute(Pending *p, ExecVariant *v)
 Daemon::ExecVariant *
 Daemon::variantFor(Pending *p, int device) const
 {
-    if (device < 0) return p->variants.front().get();
+    if (device < 0 || p->staged) return p->variants.front().get();
     FEATHER_CHECK(size_t(device) < p->dev_plan.size(),
                   "placed device out of range");
     const DevicePlan &dp = p->dev_plan[size_t(device)];
@@ -576,7 +471,8 @@ Daemon::finishOne(Pending *p, int device, int64_t start_vus,
                 ? r.path
                 : opts_.fleet.devices[size_t(device)].name;
         extra = strCat(",\"device\":\"", jsonEscape(dev_name),
-                       "\",\"handoff_vus\":", p->handoff_vus);
+                       "\",\"handoff_vus\":", p->handoff_vus,
+                       ",\"stage_wait_vus\":", p->stage_wait_vus);
     }
     respond(p, strCat("{\"id\":\"", jsonEscape(p->req.id),
                       "\",\"client\":\"", jsonEscape(p->req.client),
@@ -625,8 +521,8 @@ Daemon::run()
             Pending *p = des[pos];
             const ExecResult &r = p->variants.front()->exec;
             const int64_t cycles =
-                r.ok && size_t(stage) < r.segments.size()
-                    ? r.segments[size_t(stage)].cycles
+                r.ok && size_t(stage) < r.stages.size()
+                    ? r.stages[size_t(stage)].cycles
                     : 0;
             const int64_t dur = std::max<int64_t>(
                 1, (cycles + int64_t(opts_.clock_mhz) - 1) /
@@ -637,8 +533,13 @@ Daemon::run()
         [this, &des](size_t pos, int stage, int device, int64_t start_vus,
                      int64_t finish_vus) {
             // Per-device virtual accounting, one entry per stage; the
-            // whole-request view stays in finishOne.
+            // whole-request view stays in finishOne, which also reports
+            // the waits between stages.
             Pending *p = des[pos];
+            if (stage > 0) {
+                p->stage_wait_vus += start_vus - p->stage_finish_vus;
+            }
+            p->stage_finish_vus = finish_vus;
             DeviceStats &ds = dev_stats_[size_t(device)];
             ++ds.requests;
             ds.busy_vus += finish_vus - start_vus;
@@ -706,9 +607,9 @@ Daemon::run()
             const int prev =
                 prev_it == client_device_.end() ? -1 : prev_it->second;
             if (r.ok) {
-                for (size_t s = 0; s < r.segments.size(); ++s) {
+                for (size_t s = 0; s < r.stages.size(); ++s) {
                     StagePlan sp;
-                    sp.device = r.segments[s].device;
+                    sp.device = r.stages[s].device;
                     int64_t cycles = 0;
                     if (s == 0) {
                         // The client's stream moving off its previous
@@ -721,7 +622,7 @@ Daemon::run()
                                 opts_.fleet.link);
                         }
                     } else {
-                        cycles = r.segments[s].handoff_cycles;
+                        cycles = r.stages[s].handoff_cycles;
                     }
                     if (cycles > 0) {
                         sp.handoff_vus = std::max<int64_t>(

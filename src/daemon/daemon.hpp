@@ -12,7 +12,9 @@
  *     through the shared PlanCache (attributing per-client hits/misses
  *     under the intake lock, so attribution is deterministic), and
  *     immediately submits its simulation to the wall-clock thread pool —
- *     speculative, continuous execution with no wave barrier.
+ *     speculative, continuous execution with no wave barrier. Model
+ *     requests are pre-planned through model::Scheduler::enumerate, so
+ *     admission warms exactly the plan points their execution looks up.
  *   - run() — the event loop, on the caller's thread — consumes requests
  *     in intake order and feeds their arrivals to the VirtualScheduler,
  *     which decides admission and virtual timing. Responses (one JSON
@@ -46,6 +48,7 @@
 #include "daemon/report.hpp"
 #include "daemon/request.hpp"
 #include "daemon/vclock.hpp"
+#include "model/scheduler.hpp"
 #include "serve/plan_cache.hpp"
 #include "serve/thread_pool.hpp"
 
@@ -112,17 +115,6 @@ class Daemon
     const DaemonOptions &options() const { return opts_; }
 
   private:
-    /** One contiguous same-device segment of a whole-graph fleet
-     *  schedule (graph-over-fleet requests only). */
-    struct ExecSegment
-    {
-        int device = -1;
-        int64_t cycles = 0; ///< measured cycles of the segment's layers
-        /** Price of the cross-device edge feeding this segment (0 for
-         *  the first segment). */
-        int64_t handoff_cycles = 0;
-    };
-
     /** Outcome of one speculative execution (filled on a pool thread). */
     struct ExecResult
     {
@@ -136,7 +128,7 @@ class Daemon
         int64_t queue_wall_us = 0;   ///< enqueue -> execution start
         int64_t service_wall_us = 0; ///< execution duration
         // Graph-over-fleet requests: the pipeline the DES will stage.
-        std::vector<ExecSegment> segments;
+        std::vector<model::Stage> stages;
         std::string path;        ///< "devA>devB" device chain
         Layout first_in_layout;  ///< first layer's chosen input layout
         Extents first_in_extents;
@@ -156,7 +148,8 @@ class Daemon
     };
 
     /** What one fleet device would do with one request (filled at
-     *  admission time, on the intake path, under mu_). */
+     *  admission time, on the intake path, under mu_). Model requests
+     *  fill only keys: their stages are pinned, never placed. */
     struct DevicePlan
     {
         bool feasible = false;
@@ -185,6 +178,9 @@ class Daemon
          *  the response's device field carries the whole path). */
         bool staged = false;
         std::vector<StagePlan> stage_plans;
+        int64_t stage_finish_vus = 0; ///< last finished stage (stage hook)
+        /** Summed waits between stages: start_k - finish_{k-1}, k >= 1. */
+        int64_t stage_wait_vus = 0;
     };
 
     /** Per-client accounting, folded into ClientRows at report time. */
@@ -217,7 +213,7 @@ class Daemon
         int64_t handoff_vus = 0;
     };
 
-    /** Outcome of planning one request at one resolved array shape. */
+    /** Outcome of planning a scenario request at one resolved shape. */
     struct ShapeInfo
     {
         bool feasible = false;
@@ -233,27 +229,33 @@ class Daemon
      * Validate @p p->req and warm the plan cache with every planning
      * point its execution will look up, attributing hits/misses to
      * @p stats. Runs under mu_ (sequential in intake order =>
-     * deterministic attribution). Fleet mode plans once per distinct
-     * device shape, fills p->dev_plan, and creates one ExecVariant per
-     * feasible shape. Returns a non-empty reason when the request can
-     * never run (unknown workload, bad override, infeasible mapping on
-     * every device).
+     * deterministic attribution). Model requests plan through
+     * model::Scheduler::enumerate (filling p->dev_plan keys in fleet
+     * mode) and get one ExecVariant. Fleet-mode scenario requests plan
+     * once per distinct device shape, fill p->dev_plan, and get one
+     * ExecVariant per feasible shape. Returns a non-empty reason when the
+     * request can never run (unknown workload, bad override, infeasible
+     * mapping on every device).
      */
     std::string preplanLocked(Pending *p, ClientStats *stats);
 
-    /** Plan every layer of @p req at one resolved shape (under mu_). */
+    /** Plan every layer of scenario @p req at one shape (under mu_). */
     ShapeInfo planShapeLocked(const Request &req, ClientStats *stats,
                               int aw, int ah);
 
-    /** Fleet-mode model request: warm every (layer, family, device)
-     *  point the whole-graph fleet scheduler will enumerate (through
-     *  each device's cache scope), under mu_. */
-    std::string planModelFleetLocked(Pending *p, ClientStats *stats);
+    /** Count one admission-time plan point (a scoped cache key) as a
+     *  hit or a miss of @p stats (under mu_). */
+    void countPointLocked(const std::string &key, ClientStats *stats);
+
+    /** How model request @p req is scheduled, shared by admission and
+     *  execution: the shared cache, the engine, and aw/ah or the fleet. */
+    model::SchedulerOptions schedulerOptions(const Request &req);
 
     /** The speculative execution body (pool thread). */
     void execute(Pending *p, ExecVariant *v);
 
-    /** The variant the DES charges when @p p runs on @p device. */
+    /** The variant the DES charges when @p p runs on @p device (staged
+     *  requests have one, whatever their devices). */
     ExecVariant *variantFor(Pending *p, int device) const;
 
     void respond(Pending *p, const std::string &line);

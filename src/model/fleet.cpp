@@ -7,6 +7,7 @@
 #include "baselines/arch_zoo.hpp"
 #include "common/log.hpp"
 #include "common/parse.hpp"
+#include "noc/topology.hpp"
 
 namespace feather {
 namespace model {
@@ -14,9 +15,9 @@ namespace model {
 namespace {
 
 constexpr size_t kMaxDevices = 64;
-/** BIRRD's router reachability masks support 64 inputs (one per column),
- *  so 64 is the widest array the cycle engine can actually run. */
-constexpr uint64_t kMaxFeatherCols = 64;
+/** BIRRD has one input per column, so its input limit is the widest array
+ *  the cycle engine can actually run. */
+constexpr uint64_t kMaxFeatherCols = kMaxBirrdInputs;
 constexpr uint64_t kMaxFeatherRows = 1024;
 
 std::string

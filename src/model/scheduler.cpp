@@ -141,6 +141,25 @@ toString(const SchedulePolicy &policy)
     return "?";
 }
 
+std::vector<Stage>
+ScheduleResult::stages() const
+{
+    std::vector<Stage> out;
+    for (size_t i = 0; i < layers.size(); ++i) {
+        const LayerChoice &lc = layers[i];
+        if (out.empty() || out.back().device != lc.device) {
+            Stage stage;
+            stage.first = i;
+            stage.device = lc.device;
+            stage.handoff_cycles = i > 0 ? lc.reorder_cycles : 0;
+            out.push_back(stage);
+        }
+        out.back().last = i;
+        out.back().cycles += lc.cycles;
+    }
+    return out;
+}
+
 int
 ScheduleComparison::bestFixed() const
 {
@@ -179,58 +198,68 @@ Scheduler::resolvedAh(const ModelGraph &graph) const
     return opts_.ah > 0 ? opts_.ah : graph.default_ah;
 }
 
-std::optional<Evaluation>
-Scheduler::evaluate(const ModelGraph &graph, std::string *error)
+std::vector<FleetDevice>
+Scheduler::targets(const ModelGraph &graph) const
 {
+    if (opts_.fleet.enabled()) return opts_.fleet.devices;
+    FleetDevice single;
+    single.aw = resolvedAw(graph);
+    single.ah = resolvedAh(graph);
+    return {single};
+}
+
+Enumeration
+Scheduler::enumerate(const ModelGraph &graph, std::string *error)
+{
+    Enumeration out;
     const std::string why = graph.validate();
     if (!why.empty()) {
         if (error) *error = why;
-        return std::nullopt;
+        return out;
     }
     const bool fleet = opts_.fleet.enabled();
-    const int aw = resolvedAw(graph);
-    const int ah = resolvedAh(graph);
+    const std::vector<FleetDevice> tg = targets(graph);
     if (!fleet) {
-        if (aw < 2 || !isPow2(uint64_t(aw))) {
+        if (tg[0].aw < 2 || !isPow2(uint64_t(tg[0].aw))) {
             if (error) {
                 *error = strCat("array width (--aw) must be a power of two"
-                                " >= 2, got ", aw);
+                                " >= 2, got ", tg[0].aw);
             }
-            return std::nullopt;
+            return out;
         }
-        if (ah < 1) {
+        if (tg[0].ah < 1) {
             if (error) *error = "array height (--ah) must be >= 1";
-            return std::nullopt;
+            return out;
         }
     }
 
-    // Step 1: plan every (layer, family) point through the shared cache
-    // and collapse families that induce identical planning artifacts. In
+    // Plan every (layer, family) point through the shared cache and
+    // collapse families that induce identical planning artifacts. In
     // fleet mode the per-device candidate lists (each enumerated at that
     // device's shape, through its cache scope) are flattened in fleet
     // order into one device-tagged list per layer; deduplication stays
     // within a device, since the same (mapping, layouts) point on two
     // devices prices edges differently.
-    Evaluation eval;
     for (const ModelLayer &ml : graph.layers) {
         std::vector<Candidate> candidates;
         std::string plan_error;
-        const size_t ndev = fleet ? opts_.fleet.devices.size() : 1;
-        for (size_t d = 0; d < ndev; ++d) {
-            const int daw = fleet ? opts_.fleet.devices[d].aw : aw;
-            const int dah = fleet ? opts_.fleet.devices[d].ah : ah;
-            const std::string scope =
-                fleet ? opts_.fleet.devices[d].name : std::string();
-            if (daw < 2 || !isPow2(uint64_t(daw)) || dah < 1) {
-                plan_error = strCat(scope, " has an unusable ", daw, "x",
-                                    dah, " array");
+        for (size_t d = 0; d < tg.size(); ++d) {
+            const FleetDevice &t = tg[d];
+            if (t.aw < 2 || !isPow2(uint64_t(t.aw)) || t.ah < 1) {
+                plan_error = strCat(t.name, " has an unusable ", t.aw, "x",
+                                    t.ah, " array");
                 continue;
             }
+            const int device = fleet ? int(d) : -1;
             const size_t first = candidates.size();
             for (sim::DataflowKind kind : kFamilies) {
+                out.points.push_back({device,
+                                      serve::PlanCache::key(opts_.engine,
+                                                            kind, ml.spec,
+                                                            t.aw, t.ah)});
                 const std::optional<sim::LayerPlan> plan =
-                    cache().getOrPlan(opts_.engine, kind, ml.spec, daw, dah,
-                                      &plan_error, scope);
+                    cache().getOrPlan(opts_.engine, kind, ml.spec, t.aw,
+                                      t.ah, &plan_error, t.name);
                 if (!plan) continue;
                 bool merged = false;
                 for (size_t c = first; c < candidates.size(); ++c) {
@@ -244,7 +273,7 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
                 Candidate c;
                 c.kinds = {kind};
                 c.plan = *plan;
-                c.device = fleet ? int(d) : -1;
+                c.device = device;
                 candidates.push_back(std::move(c));
             }
         }
@@ -254,13 +283,26 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
                              ? strCat("no fleet device fits ", ml.spec.name,
                                       ": ", plan_error)
                              : strCat("no dataflow family fits ",
-                                      ml.spec.name, " on a ", aw, "x", ah,
-                                      " array: ", plan_error);
+                                      ml.spec.name, " on a ", tg[0].aw, "x",
+                                      tg[0].ah, " array: ", plan_error);
             }
-            return std::nullopt;
+            out.layers.clear();
+            return out;
         }
-        eval.layers.push_back(std::move(candidates));
+        out.layers.push_back(std::move(candidates));
     }
+    return out;
+}
+
+std::optional<Evaluation>
+Scheduler::evaluate(const ModelGraph &graph, std::string *error)
+{
+    // Step 1: the candidate table.
+    Enumeration enumeration = enumerate(graph, error);
+    if (!enumeration.ok()) return std::nullopt;
+    Evaluation eval;
+    eval.layers = std::move(enumeration.layers);
+    const std::vector<FleetDevice> tg = targets(graph);
 
     // Step 2: simulate every unique candidate standalone, in parallel.
     // Slots are pre-sized and seeds derived per flat index, so the result
@@ -283,16 +325,13 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
     {
         serve::ThreadPool pool(opts_.num_threads);
         for (EvalSlot &slot : slots) {
-            pool.submit([this, &graph, &eval, &slot] {
+            pool.submit([this, &graph, &eval, &tg, &slot] {
                 const ModelLayer &ml = graph.layers[slot.layer];
                 Candidate &cand = eval.layers[slot.layer][slot.cand];
+                const FleetDevice &t = tg[size_t(std::max(cand.device, 0))];
                 sim::RunOptions ropts;
-                ropts.aw = cand.device >= 0
-                               ? opts_.fleet.devices[size_t(cand.device)].aw
-                               : resolvedAw(graph);
-                ropts.ah = cand.device >= 0
-                               ? opts_.fleet.devices[size_t(cand.device)].ah
-                               : resolvedAh(graph);
+                ropts.aw = t.aw;
+                ropts.ah = t.ah;
                 ropts.engine = opts_.engine;
                 ropts.seed = slot.seed;
                 ropts.mapping = cand.plan.mapping;
@@ -531,63 +570,38 @@ Scheduler::measure(const ModelGraph &graph, ScheduleResult *result,
     // Step 5: execute the chosen schedule as measured, bit-exact chains
     // through the StaB ping-pong (layer i writes directly in layer i+1's
     // input layout). Outside fleet mode this is one chain; in fleet mode
-    // each contiguous same-device segment runs as one chain on its
-    // device's shape (through that device's cache scope), and the
-    // cross-device hand-off between segments is priced by the edge model,
-    // not replayed — each segment verifies bit-exactly against the
-    // reference operators from freshly seeded inputs. A 1-device fleet
-    // has exactly one segment and reproduces the non-fleet measurement.
-    struct Segment
-    {
-        size_t first; ///< layer range [first, last]
-        size_t last;
-        int aw;
-        int ah;
-        std::string scope;
-    };
-    std::vector<Segment> segments;
-    for (size_t i = 0; i < graph.layers.size(); ++i) {
-        const int dev = result->layers[i].device;
-        if (!segments.empty() &&
-            result->layers[segments.back().first].device == dev) {
-            segments.back().last = i;
-            continue;
-        }
-        Segment seg;
-        seg.first = seg.last = i;
-        seg.aw = dev >= 0 ? opts_.fleet.devices[size_t(dev)].aw
-                          : result->aw;
-        seg.ah = dev >= 0 ? opts_.fleet.devices[size_t(dev)].ah
-                          : result->ah;
-        seg.scope = dev >= 0 ? opts_.fleet.devices[size_t(dev)].name
-                             : std::string();
-        segments.push_back(seg);
-    }
-
+    // each stage runs as one chain on its device's shape (through that
+    // device's cache scope), and the cross-device hand-off between stages
+    // is priced by the edge model, not replayed — each stage verifies
+    // bit-exactly against the reference operators from freshly seeded
+    // inputs. A 1-device fleet has exactly one stage and reproduces the
+    // non-fleet measurement.
+    const std::vector<FleetDevice> tg = targets(graph);
     const auto start = std::chrono::steady_clock::now();
-    for (const Segment &seg : segments) {
+    for (const Stage &stage : result->stages()) {
+        const FleetDevice &t = tg[size_t(std::max(stage.device, 0))];
         sim::Scenario scenario;
         scenario.name = graph.name;
-        scenario.default_aw = seg.aw;
-        scenario.default_ah = seg.ah;
-        for (size_t i = seg.first; i <= seg.last; ++i) {
+        scenario.default_aw = t.aw;
+        scenario.default_ah = t.ah;
+        for (size_t i = stage.first; i <= stage.last; ++i) {
             scenario.layers.push_back({graph.layers[i].spec,
                                        result->layers[i].dataflow,
                                        graph.layers[i].multiplier});
         }
         sim::ScenarioOptions sopts;
-        sopts.aw = seg.aw;
-        sopts.ah = seg.ah;
+        sopts.aw = t.aw;
+        sopts.ah = t.ah;
         sopts.seed = opts_.seed;
         // Measured cycles are the ground truth the report ranks schedules
         // by: the chain always replays cycle-accurately, whatever tier
         // evaluated the candidates.
         sopts.engine = sim::EngineMode::Cycle;
         const std::optional<sim::ScenarioRun> run =
-            sim::runScenario(scenario, sopts, error, cache().planFn(seg.scope));
+            sim::runScenario(scenario, sopts, error, cache().planFn(t.name));
         if (!run) return false;
-        for (size_t i = seg.first; i <= seg.last; ++i) {
-            const sim::RunResult &r = run->chain.layers[i - seg.first];
+        for (size_t i = stage.first; i <= stage.last; ++i) {
+            const sim::RunResult &r = run->chain.layers[i - stage.first];
             result->layers[i].cycles = r.stats.cycles;
             result->layers[i].macs = r.stats.macs;
             result->layers[i].read_stalls = r.stats.read_stall_cycles;

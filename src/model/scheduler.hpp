@@ -10,10 +10,12 @@
  * layer of a network instead of one fixed dataflow for the whole model.
  *
  * Pipeline:
- *   1. Candidate enumeration — for every layer, every dataflow family is
- *      planned via sim::planLayer through the shared serve::PlanCache;
- *      families that induce the same (mapping, layouts) collapse into one
- *      candidate.
+ *   1. Candidate enumeration (enumerate()) — for every layer, every
+ *      dataflow family is planned via sim::planLayer through the shared
+ *      serve::PlanCache; families that induce the same (mapping, layouts)
+ *      collapse into one candidate. The serving daemon pre-plans model
+ *      requests through this step too, so it is the one place that
+ *      decides which plan points a graph looks up.
  *   2. Candidate evaluation — each unique candidate is simulated
  *      standalone (concordant layouts, bit-exact verification against the
  *      reference operators) in parallel on a serve::ThreadPool. Results
@@ -37,10 +39,11 @@
  * device-scoped PlanCache partition), intra-device switches keep their
  * reorderCost pricing, and inter-device edges are priced by handoffCost
  * (BIRRD reorder + inter-chip link transfer). The chosen schedule splits
- * into contiguous same-device segments (pipeline parallelism); each
- * segment is measured as one cycle-accurate chain on its device and
- * verified bit-exactly against the reference operators — the hand-off
- * itself is priced, not replayed. Two extra baselines exist only here:
+ * into the pipeline stages of ScheduleResult::stages() (which the daemon
+ * also stages its DES pipeline from); each stage is measured as one
+ * cycle-accurate chain on its device and verified bit-exactly against
+ * the reference operators — the hand-off itself is priced, not replayed.
+ * Two extra baselines exist only here:
  * pinned:<device> restricts the whole graph to one device (the
  * single-device placements the DP must beat), and compare() ranks the
  * primary schedule against every pinned placement. A 1-device fleet
@@ -136,6 +139,26 @@ struct Candidate
     int device = -1;
 };
 
+/** One plan point step 1 looked up: a base serve::PlanCache::key,
+ *  planned under the device's name as cache scope ("" and device -1
+ *  outside fleet mode). */
+struct PlanPoint
+{
+    int device = -1;
+    std::string key;
+};
+
+/** Step 1's output: the candidate table before simulation, and every
+ *  plan point looked up, in order — also when enumeration fails. */
+struct Enumeration
+{
+    /** Per layer, >=1 each; empty when the graph cannot be scheduled. */
+    std::vector<std::vector<Candidate>> layers;
+    std::vector<PlanPoint> points;
+
+    bool ok() const { return !layers.empty(); }
+};
+
 /** The evaluated candidate table of one graph (scheduler steps 1-3). */
 struct Evaluation
 {
@@ -164,6 +187,19 @@ struct LayerChoice
     int64_t macs = 0;
     int64_t read_stalls = 0;
     int64_t write_stalls = 0;
+};
+
+/** One pipeline stage of a schedule: a contiguous run of layers placed
+ *  on one device. */
+struct Stage
+{
+    size_t first = 0; ///< layer range [first, last]
+    size_t last = 0;
+    int device = -1; ///< fleet device index; -1 outside fleet mode
+    int64_t cycles = 0; ///< measured cycles of the stage's layers
+    /** Price of the cross-device edge feeding this stage (0 for the
+     *  first stage). */
+    int64_t handoff_cycles = 0;
 };
 
 /** One scheduled + measured run of a graph. */
@@ -198,6 +234,11 @@ struct ScheduleResult
     int64_t handoff_cycles = 0; ///< summed handoffCost of those edges
 
     bool bitExact() const { return checked > 0 && mismatches == 0; }
+
+    /** The pipeline stages, in layer order: the contiguous same-device
+     *  runs of layers. Outside fleet mode the whole graph is one stage. */
+    std::vector<Stage> stages() const;
+
     double
     utilization() const
     {
@@ -245,7 +286,7 @@ struct SchedulerOptions
     /** Non-empty switches on fleet mode: candidates are enumerated per
      *  device at that device's array shape (aw/ah above are ignored),
      *  inter-device edges are priced by handoffCost, and the schedule is
-     *  measured as contiguous same-device segments. */
+     *  measured stage by stage (ScheduleResult::stages()). */
     FleetSpec fleet;
 };
 
@@ -255,9 +296,16 @@ class Scheduler
   public:
     explicit Scheduler(SchedulerOptions opts = {});
 
-    /** Steps 1+2: enumerate and evaluate every layer's candidates in
-     *  parallel. nullopt with @p error set when the graph is invalid or a
-     *  layer has no feasible mapping. */
+    /** Step 1: plan every (layer, device, family) point through the
+     *  cache and collapse each layer's points into candidates. A failed
+     *  enumeration (ok() false) sets @p error: the graph or array is
+     *  invalid, or some layer has no feasible mapping. */
+    Enumeration enumerate(const ModelGraph &graph,
+                          std::string *error = nullptr);
+
+    /** Steps 1-3: enumerate(), simulate every unique candidate in
+     *  parallel, and price every layer-to-layer edge. nullopt with
+     *  @p error set when enumeration or a candidate run fails. */
     std::optional<Evaluation> evaluate(const ModelGraph &graph,
                                        std::string *error = nullptr);
 
@@ -286,6 +334,11 @@ class Scheduler
   private:
     int resolvedAw(const ModelGraph &graph) const;
     int resolvedAh(const ModelGraph &graph) const;
+
+    /** The arrays @p graph runs on, resolved once per graph: the fleet's
+     *  devices, or outside fleet mode one unnamed device (cache scope "")
+     *  at the resolved shape. Index with max(device, 0). */
+    std::vector<FleetDevice> targets(const ModelGraph &graph) const;
 
     /** Steps 3+4: one candidate index per layer under @p policy.
      *  @p search_nodes counts the states scanned/relaxed by the pick. */

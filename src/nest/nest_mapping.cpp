@@ -4,6 +4,7 @@
 
 #include "common/bits.hpp"
 #include "common/log.hpp"
+#include "noc/topology.hpp"
 
 namespace feather {
 
@@ -48,6 +49,10 @@ NestMapping::toString() const
 std::string
 NestMapping::validate(const LayerSpec &layer, int aw, int ah) const
 {
+    if (aw > kMaxBirrdInputs) {
+        return strCat("AW=", aw, " exceeds the ", kMaxBirrdInputs,
+                      "-input BIRRD limit");
+    }
     if (colsUsed() > aw) {
         return strCat("col degree ", colsUsed(), " exceeds AW=", aw);
     }

@@ -12,8 +12,9 @@ BirrdTopology::BirrdTopology(int num_inputs) : num_inputs_(num_inputs)
     FEATHER_CHECK(num_inputs >= 2 && isPow2(uint64_t(num_inputs)),
                   "BIRRD input count must be a power of two >= 2, got ",
                   num_inputs);
-    FEATHER_CHECK(num_inputs <= 64,
-                  "router reachability masks support up to 64 inputs");
+    FEATHER_CHECK(num_inputs <= kMaxBirrdInputs,
+                  "router reachability masks support up to ",
+                  kMaxBirrdInputs, " inputs");
     log2_inputs_ = int(log2Exact(uint64_t(num_inputs)));
 
     if (num_inputs_ == 2) {

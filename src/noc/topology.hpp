@@ -17,6 +17,10 @@
 
 namespace feather {
 
+/** Widest BIRRD, and so the widest array (AW), this model supports: the
+ *  router's reachability masks hold one bit per output in a uint64_t. */
+constexpr int kMaxBirrdInputs = 64;
+
 /** Static wiring of an AW-input BIRRD. */
 class BirrdTopology
 {

@@ -476,24 +476,60 @@ TEST(Daemon, BadLinesBecomeErrorResponsesWithAttribution)
                        sink);
     daemon.enqueueLine("this is not json", sink);
     daemon.enqueueLine("{\"scenario\":\"no_such_scenario\"}", sink);
+    // Arrays wider than BIRRD's inputs fail planning, not the process,
+    // and the daemon goes on to serve the next request.
+    daemon.enqueueLine("{\"scenario\":\"gemm\",\"aw\":128}", sink);
+    daemon.enqueueLine("{\"model\":\"bert_mlp\",\"aw\":128}", sink);
+    daemon.enqueueLine("{\"scenario\":\"gemm\"}", sink);
     daemon.closeIntake();
     const DaemonReport report = daemon.run();
 
-    ASSERT_EQ(responses.size(), 3u);
-    for (const std::string &r : responses) {
-        EXPECT_NE(r.find("\"ERROR\""), std::string::npos) << r;
+    // Errors are answered at intake, the served request at drain.
+    ASSERT_EQ(responses.size(), 6u);
+    for (size_t i = 0; i < 5; ++i) {
+        EXPECT_NE(responses[i].find("\"ERROR\""), std::string::npos)
+            << responses[i];
     }
     EXPECT_NE(responses[0].find("\"client\":\"cx\""), std::string::npos)
         << "bad line attributed to its parsed client";
     EXPECT_NE(responses[2].find("no_such_scenario"), std::string::npos);
-    EXPECT_EQ(report.errors, 3u);
-    EXPECT_EQ(daemon.failures(), 3u);
+    for (size_t i = 3; i < 5; ++i) {
+        EXPECT_NE(responses[i].find("AW=128 exceeds the 64-input BIRRD "
+                                    "limit"),
+                  std::string::npos)
+            << responses[i];
+    }
+    EXPECT_NE(responses[5].find("\"status\":\"ok\""), std::string::npos)
+        << responses[5];
+    EXPECT_EQ(report.errors, 5u);
+    EXPECT_EQ(report.accepted, 1u);
+    EXPECT_EQ(daemon.failures(), 5u);
 
     const auto cx = std::find_if(
         report.clients.begin(), report.clients.end(),
         [](const ClientRow &c) { return c.client == "cx"; });
     ASSERT_NE(cx, report.clients.end());
     EXPECT_EQ(cx->errors, 1u);
+}
+
+TEST(Daemon, ModelRequestsTakeTheSchedulersArrayChecks)
+{
+    // A model request's array is checked by model::Scheduler before any
+    // plan point is tried, so a bad width plans (and counts) nothing.
+    Request req;
+    req.client = "m";
+    req.model = "bert_mlp";
+    req.aw = 3;
+    const DaemonRun run = runDaemon({req}, DaemonOptions());
+    ASSERT_EQ(run.responses.size(), 1u);
+    EXPECT_NE(run.responses[0].find("array width (--aw) must be a power of "
+                                    "two >= 2, got 3"),
+              std::string::npos)
+        << run.responses[0];
+    ASSERT_EQ(run.report.clients.size(), 1u);
+    EXPECT_EQ(run.report.clients[0].cache_hits, 0u);
+    EXPECT_EQ(run.report.clients[0].cache_misses, 0u);
+    EXPECT_EQ(run.report.cache.lookups(), 0u);
 }
 
 TEST(Daemon, NonMonotonicPinnedArrivalsAreErrors)

@@ -210,6 +210,8 @@ TEST(Cli, MainRejectsBadUsage)
     EXPECT_EQ(runCliMain({"--workload", "no_such_scenario"}), 2);
     EXPECT_EQ(runCliMain({"--workload", "gemm", "--layout", "bad"}), 2);
     EXPECT_EQ(runCliMain({"--workload", "gemm", "--dataflow", "bad"}), 2);
+    // Wider than BIRRD: rejected at planning, not an abort.
+    EXPECT_EQ(runCliMain({"--workload", "gemm", "--aw", "128"}), 2);
 }
 
 TEST(Cli, MainListAndHelpSucceed)

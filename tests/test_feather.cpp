@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -360,10 +361,15 @@ TEST(Feather, TraceRecordsReadsAndWrites)
     EXPECT_TRUE(saw_write);
 }
 
-/** Property sweep: random shapes x layout pairs stay bit-exact. */
+/**
+ * Property sweep: random shapes x layout pairs stay bit-exact. The layout
+ * names are std::string so gtest prints their text, not a pointer: the
+ * printed parameter is part of each discovered CTest name, and a pointer
+ * would make that name change from run to run.
+ */
 class FeatherConvSweep
-    : public ::testing::TestWithParam<std::tuple<int, const char *,
-                                                 const char *>>
+    : public ::testing::TestWithParam<std::tuple<int, std::string,
+                                                 std::string>>
 {
 };
 
@@ -377,8 +383,8 @@ TEST_P(FeatherConvSweep, BitExact)
     const int64_t rs = 1 + 2 * int64_t(rng.below(2)); // 1 or 3
     const int64_t stride = 1 + int64_t(rng.below(2));
     const LayerSpec layer = convLayer(c, hw, m, rs, stride, (rs - 1) / 2);
-    checkConv(layer, NestMapping::canonical(layer, 4, 4), in_layout,
-              out_layout, uint64_t(seed));
+    checkConv(layer, NestMapping::canonical(layer, 4, 4), in_layout.c_str(),
+              out_layout.c_str(), uint64_t(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,11 +5,14 @@
  * scheduler, cross-device hand-off pricing (model::handoffCost), the
  * device-scoped plan-cache keys, per-device report rows, and the fleet
  * determinism contract (responses and all non-`_wall_us` report fields
- * bit-identical at any --jobs setting).
+ * bit-identical at any --jobs setting), and the CI smoke replays:
+ * admission warms exactly the plan keys execution looks up, and every
+ * fleet response's latency adds up from its parts.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -17,6 +20,7 @@
 
 #include "baselines/arch_zoo.hpp"
 #include "common/io.hpp"
+#include "common/json_min.hpp"
 #include "common/log.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/fleet.hpp"
@@ -936,6 +940,150 @@ TEST(GraphOverFleet, SameClientStreamPaysTheMigrationHandoff)
     }
     EXPECT_GT(g0, 0);
     EXPECT_GT(g1, g0);
+}
+
+TEST(GraphOverFleet, DeviceWiderThanBirrdIsSkipped)
+{
+    // The spec parser refuses feather:128x8 (COLS <= 64), so build the
+    // device by hand: planning rejects its width, no request is ever
+    // placed or staged on it, and nothing aborts.
+    DaemonOptions opts = fleetOptions("feather:16x16,feather:32x32",
+                                      PlacementPolicy::LeastLoaded);
+    DeviceSpec wide;
+    wide.name = "feather:128x8";
+    wide.aw = 128;
+    wide.ah = 8;
+    wide.capability = 1024;
+    opts.fleet.devices.insert(opts.fleet.devices.begin(), wide);
+    std::vector<Request> reqs = cannedTrace(8);
+    reqs.push_back(graphRequest("g0", "c0", 400));
+    const DaemonRun run = runDaemon(reqs, opts);
+    EXPECT_EQ(run.report.errors, 0u);
+    EXPECT_EQ(run.report.accepted, reqs.size());
+    ASSERT_EQ(run.report.devices.size(), 3u);
+    EXPECT_EQ(run.report.devices[0].device, "feather:128x8");
+    EXPECT_EQ(run.report.devices[0].requests, 0u);
+    for (const std::string &line : run.responses) {
+        EXPECT_EQ(line.find("128x8"), std::string::npos) << line;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The CI smoke replays (ci/*.jsonl with ci.yml's feather_serve flags)
+// ---------------------------------------------------------------------------
+
+struct SmokeConfig
+{
+    const char *name;
+    const char *trace; ///< file under ci/
+    std::vector<std::string> flags;
+};
+
+const std::vector<SmokeConfig> &
+smokeConfigs()
+{
+    static const std::vector<SmokeConfig> configs = {
+        {"daemon", "daemon_smoke_trace.jsonl",
+         {"--vworkers", "2", "--max-queue", "6", "--quota", "2=2",
+          "--clock-mhz", "1"}},
+        {"fleet", "daemon_smoke_trace.jsonl",
+         {"--fleet", "feather:16x16,feather:32x32,tpu-like", "--place",
+          "least-loaded", "--clock-mhz", "10"}},
+        {"graph", "graph_fleet_smoke_trace.jsonl",
+         {"--fleet", "feather:16x16,feather:32x32,tpu-like", "--place",
+          "least-loaded", "--clock-mhz", "10"}},
+    };
+    return configs;
+}
+
+/** Replay @p smoke the way feather_serve --replay does, at @p jobs. */
+DaemonRun
+replaySmoke(const SmokeConfig &smoke, int jobs)
+{
+    const std::string trace = strCat(FEATHER_CI_DIR, "/", smoke.trace);
+    std::vector<std::string> args = {"--replay", trace, "--jobs",
+                                     std::to_string(jobs)};
+    args.insert(args.end(), smoke.flags.begin(), smoke.flags.end());
+    ServeCliConfig config;
+    std::string error;
+    EXPECT_TRUE(parseServeCli(args, &config, &error)) << error;
+
+    DaemonRun out;
+    Daemon daemon(config.daemon);
+    std::ifstream in(trace, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "cannot read " << trace;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#') continue;
+        daemon.enqueueLine(line, [&out](const std::string &response) {
+            out.responses.push_back(response);
+        });
+    }
+    daemon.closeIntake();
+    out.report = daemon.run();
+    out.failures = daemon.failures();
+    return out;
+}
+
+int64_t
+intField(const JsonObject &obj, const std::string &key)
+{
+    const JsonScalar *v = obj.find(key);
+    int64_t out = -1;
+    EXPECT_TRUE(v != nullptr && v->asInt(&out)) << "missing " << key;
+    return out;
+}
+
+TEST(SmokeReplay, AdmissionWarmsExactlyTheKeysExecutionLooksUp)
+{
+    // Admission counts every plan point a request's execution will look
+    // up; execution must then only hit. So the per-client misses add up
+    // to the shared cache's misses, and every miss made one entry.
+    for (const SmokeConfig &smoke : smokeConfigs()) {
+        SCOPED_TRACE(smoke.name);
+        const DaemonRun run = replaySmoke(smoke, 4);
+        uint64_t client_misses = 0;
+        for (const ClientRow &row : run.report.clients) {
+            client_misses += row.cache_misses;
+        }
+        EXPECT_GT(client_misses, 0u);
+        EXPECT_EQ(client_misses, run.report.cache.misses);
+        EXPECT_EQ(client_misses, run.report.cache.entries);
+    }
+}
+
+TEST(SmokeReplay, FleetLatencyIsTheSumOfItsParts)
+{
+    // latency = queue + service + hand-off + waits between stages, for
+    // single-device and staged responses alike, at any pool size.
+    for (const SmokeConfig &smoke : smokeConfigs()) {
+        if (std::string(smoke.name) == "daemon") continue; // not a fleet
+        for (const int jobs : {1, 8}) {
+            SCOPED_TRACE(strCat(smoke.name, " --jobs ", jobs));
+            const DaemonRun run = replaySmoke(smoke, jobs);
+            int64_t stage_wait = 0;
+            int checked = 0;
+            for (const std::string &line : run.responses) {
+                JsonObject obj;
+                std::string error;
+                ASSERT_TRUE(JsonObject::parse(line, &obj, &error)) << error;
+                if (!obj.find("latency_vus")) continue; // rejected/error
+                ++checked;
+                const int64_t wait = intField(obj, "stage_wait_vus");
+                EXPECT_EQ(intField(obj, "latency_vus"),
+                          intField(obj, "queue_vus") +
+                              intField(obj, "service_vus") +
+                              intField(obj, "handoff_vus") + wait)
+                    << line;
+                stage_wait += wait;
+            }
+            EXPECT_EQ(checked, int(run.report.accepted));
+            // Only pipelines wait between stages; the graph trace has four
+            // that do (g4, g19, g25, g31).
+            EXPECT_EQ(stage_wait,
+                      std::string(smoke.name) == "graph" ? 977 : 0);
+        }
+    }
 }
 
 } // namespace

@@ -5,7 +5,9 @@
  *
  *   - differential: a 1-device fleet reproduces the single-device
  *     per-layer schedule bit-exactly (same DP cost, same per-layer
- *     (dataflow, layout) picks, same measured cycle counters);
+ *     (dataflow, layout) picks, same measured cycle counters), and in
+ *     both modes enumerate() reports every plan lookup and leaves
+ *     evaluate() and schedule() nothing new to plan;
  *   - property: on random small graphs x small fleets, the DP cost
  *     equals the brute-force optimum over every (device, candidate)
  *     assignment, and is never beaten by greedy or by any pinned
@@ -130,29 +132,46 @@ TEST(HandoffCost, DiscordantHandoffAddsTheReorderTerm)
 // Differential: 1-device fleet == single-device scheduler
 // ---------------------------------------------------------------------------
 
+/** enumerate() on @p sched's fresh cache reports every plan lookup it
+ *  makes, and leaves evaluate() and schedule() no new plan to make (the
+ *  property the serving daemon's admission counting relies on). */
+std::optional<ScheduleResult>
+enumerateThenSchedule(Scheduler *sched, const ModelGraph &graph)
+{
+    std::string error;
+    const Enumeration en = sched->enumerate(graph, &error);
+    EXPECT_TRUE(en.ok()) << error;
+    const serve::PlanCache::Stats planned = sched->cache().stats();
+    EXPECT_EQ(planned.lookups(), en.points.size());
+    EXPECT_GT(planned.misses, 0u);
+
+    const std::optional<Evaluation> eval = sched->evaluate(graph, &error);
+    EXPECT_TRUE(eval.has_value()) << error;
+    if (!eval) return std::nullopt;
+    std::optional<ScheduleResult> res =
+        sched->schedule(graph, *eval, policyOf("per-layer"), &error);
+    EXPECT_TRUE(res.has_value()) << error;
+    EXPECT_EQ(sched->cache().stats().misses, planned.misses);
+    EXPECT_EQ(sched->cache().stats().entries, planned.entries);
+    return res;
+}
+
 TEST(GraphFleetDifferential, OneDeviceFleetReproducesSingleDeviceSchedule)
 {
     for (const ModelGraph &graph : builtinModels()) {
         SCOPED_TRACE(graph.name);
-        std::string error;
 
         Scheduler single{SchedulerOptions{}};
-        const std::optional<Evaluation> seval =
-            single.evaluate(graph, &error);
-        ASSERT_TRUE(seval.has_value()) << error;
-        const std::optional<ScheduleResult> sres = single.schedule(
-            graph, *seval, policyOf("per-layer"), &error);
-        ASSERT_TRUE(sres.has_value()) << error;
+        const std::optional<ScheduleResult> sres =
+            enumerateThenSchedule(&single, graph);
+        ASSERT_TRUE(sres.has_value());
 
         const std::string spec = strCat("feather:", graph.default_aw, "x",
                                         graph.default_ah);
         Scheduler fleet{fleetOptions(spec, sim::EngineMode::Cycle)};
-        const std::optional<Evaluation> feval =
-            fleet.evaluate(graph, &error);
-        ASSERT_TRUE(feval.has_value()) << error;
-        const std::optional<ScheduleResult> fres = fleet.schedule(
-            graph, *feval, policyOf("per-layer"), &error);
-        ASSERT_TRUE(fres.has_value()) << error;
+        const std::optional<ScheduleResult> fres =
+            enumerateThenSchedule(&fleet, graph);
+        ASSERT_TRUE(fres.has_value());
 
         // Same device-free DP cost and same measured ground truth.
         EXPECT_EQ(fres->est_total, sres->est_total);
@@ -447,6 +466,81 @@ TEST(GraphFleet, FleetScheduleIsBitIdenticalAcrossJobs)
         EXPECT_EQ(a.layers[i].dataflow, b.layers[i].dataflow);
         EXPECT_EQ(a.layers[i].cycles, b.layers[i].cycles);
     }
+}
+
+TEST(GraphFleet, DeviceWiderThanBirrdIsSkipped)
+{
+    // parseFleetSpec refuses feather:128x8, so add it by hand: planning
+    // rejects the width on every family, the device yields no candidates,
+    // and the whole graph lands on the usable device.
+    const ModelGraph *graph = findModel("bert_mlp");
+    ASSERT_NE(graph, nullptr);
+    SchedulerOptions opts =
+        fleetOptions("feather:16x16", sim::EngineMode::Cycle);
+    FleetDevice wide;
+    wide.name = "feather:128x8";
+    wide.aw = 128;
+    wide.ah = 8;
+    opts.fleet.devices.insert(opts.fleet.devices.begin(), wide);
+    Scheduler sched(opts);
+    std::string error;
+    const Enumeration en = sched.enumerate(*graph, &error);
+    ASSERT_TRUE(en.ok()) << error;
+    EXPECT_TRUE(std::any_of(en.points.begin(), en.points.end(),
+                            [](const PlanPoint &p) { return p.device == 0; }))
+        << "the wide device is tried";
+    for (const std::vector<Candidate> &layer : en.layers) {
+        for (const Candidate &c : layer) EXPECT_EQ(c.device, 1);
+    }
+    const std::optional<Evaluation> eval = sched.evaluate(*graph, &error);
+    ASSERT_TRUE(eval.has_value()) << error;
+    const std::optional<ScheduleResult> res =
+        sched.schedule(*graph, *eval, policyOf("per-layer"), &error);
+    ASSERT_TRUE(res.has_value()) << error;
+    EXPECT_TRUE(res->bitExact());
+    ASSERT_EQ(res->stages().size(), 1u);
+    EXPECT_EQ(res->stages()[0].device, 1);
+
+    // Alone, the wide device fits nothing, and the error names the limit.
+    opts.fleet.devices.resize(1);
+    Scheduler alone(opts);
+    EXPECT_FALSE(alone.evaluate(*graph, &error).has_value());
+    EXPECT_NE(error.find("AW=128"), std::string::npos) << error;
+    EXPECT_NE(error.find("64"), std::string::npos) << error;
+}
+
+TEST(GraphFleet, StagesAreTheContiguousSameDeviceRuns)
+{
+    const ModelGraph *graph = findModel("mobilenet_slice");
+    ASSERT_NE(graph, nullptr);
+    std::string error;
+    Scheduler sched{fleetOptions(kCiFleet, sim::EngineMode::Cycle)};
+    const std::optional<Evaluation> eval = sched.evaluate(*graph, &error);
+    ASSERT_TRUE(eval.has_value()) << error;
+    const std::optional<ScheduleResult> res =
+        sched.schedule(*graph, *eval, policyOf("per-layer"), &error);
+    ASSERT_TRUE(res.has_value()) << error;
+    const std::vector<Stage> stages = res->stages();
+    ASSERT_EQ(int64_t(stages.size()), res->handoffs + 1);
+    size_t next = 0;
+    int64_t cycles = 0;
+    int64_t handoff = 0;
+    for (size_t s = 0; s < stages.size(); ++s) {
+        EXPECT_EQ(stages[s].first, next);
+        for (size_t i = stages[s].first; i <= stages[s].last; ++i) {
+            EXPECT_EQ(res->layers[i].device, stages[s].device);
+        }
+        if (s > 0) {
+            EXPECT_NE(stages[s].device, stages[s - 1].device);
+        }
+        next = stages[s].last + 1;
+        cycles += stages[s].cycles;
+        handoff += stages[s].handoff_cycles;
+    }
+    EXPECT_EQ(next, res->layers.size());
+    EXPECT_EQ(cycles, res->cycles);
+    EXPECT_EQ(handoff, res->handoff_cycles);
+    EXPECT_EQ(stages[0].handoff_cycles, 0);
 }
 
 TEST(GraphFleet, PinnedPolicyErrorsAreActionable)

@@ -477,6 +477,7 @@ TEST(ModelCli, ExitCodesAreLocked)
     EXPECT_EQ(run({"--model", "bert_mlp", "--schedule", "fixed:ws"}), 0);
     EXPECT_EQ(run({"--model", "no_such_model"}), 2);
     EXPECT_EQ(run({"--model", "bert_mlp", "--schedule", "wat"}), 2);
+    EXPECT_EQ(run({"--model", "bert_mlp", "--aw", "128"}), 2);
     EXPECT_EQ(run({"--model"}), 2);
 }
 

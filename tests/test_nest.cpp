@@ -7,6 +7,7 @@
 
 #include "nest/nest_array.hpp"
 #include "nest/nest_mapping.hpp"
+#include "noc/topology.hpp"
 
 namespace feather {
 namespace {
@@ -52,6 +53,19 @@ TEST(NestMapping, ValidateRejectsOversizedCols)
     m.rows = {{Dim::M, 4}};
     m.local = {{Dim::R, 3}};
     EXPECT_NE(m.validate(convLayer(8, 4, 4, 3), 4, 4), "");
+}
+
+TEST(NestMapping, ValidateRejectsArraysWiderThanBirrd)
+{
+    // Every planning path validates, so this is where an AW the BIRRD
+    // model cannot build is turned into an error instead of an abort.
+    const LayerSpec layer = convLayer(8, 4, 4, 3);
+    const NestMapping ok = NestMapping::canonical(layer, kMaxBirrdInputs, 4);
+    EXPECT_EQ(ok.validate(layer, kMaxBirrdInputs, 4), "");
+    const NestMapping wide = NestMapping::canonical(layer, 128, 4);
+    const std::string why = wide.validate(layer, 128, 4);
+    EXPECT_NE(why.find("AW=128"), std::string::npos) << why;
+    EXPECT_NE(why.find("64"), std::string::npos) << why;
 }
 
 TEST(NestMapping, ValidateRejectsDimRepeatInGroup)
