@@ -95,6 +95,13 @@ class Scratchpad
 /**
  * FEATHER StaB: @ref numBanks() banks of one word width, each @ref depth()
  * entries deep, with independent addressing per bank.
+ *
+ * @ref depth() is the modelled capacity: every address check holds against
+ * it. Storage is line-major (address * banks + bank) and grows, by doubling
+ * and capped at the full depth, only up to the highest address written, so
+ * a run pays for the lines it touches rather than for the whole bank depth.
+ * Lines never written read as the fill value, exactly as if the whole
+ * buffer had been filled up front.
  */
 template <typename T>
 class BankedScratchpad
@@ -103,20 +110,22 @@ class BankedScratchpad
     BankedScratchpad() = default;
 
     BankedScratchpad(int64_t num_banks, int64_t depth, T fill = T{})
-        : num_banks_(num_banks), depth_(depth),
-          data_(size_t(num_banks * depth), fill)
+        : num_banks_(num_banks), depth_(depth), fill_(fill)
     {
     }
 
     int64_t numBanks() const { return num_banks_; }
     int64_t depth() const { return depth_; }
 
+    /** Words of storage held now (capacity of the backing store). */
+    size_t storedWords() const { return data_.capacity(); }
+
     T
     read(int64_t bank, int64_t addr)
     {
         checkAddr(bank, addr);
         ++stats_.word_reads;
-        return data_[size_t(bank * depth_ + addr)];
+        return at(bank, addr);
     }
 
     void
@@ -124,20 +133,21 @@ class BankedScratchpad
     {
         checkAddr(bank, addr);
         ++stats_.word_writes;
-        data_[size_t(bank * depth_ + addr)] = value;
+        growTo(addr + 1);
+        data_[index(bank, addr)] = value;
     }
 
     T
     peek(int64_t bank, int64_t addr) const
     {
         checkAddr(bank, addr);
-        return data_[size_t(bank * depth_ + addr)];
+        return at(bank, addr);
     }
 
     /**
      * Write @p n contiguous words into one bank starting at @p addr — the
-     * bulk DMA path for host loads: one bounds check, one memcpy-able copy,
-     * and the same per-word access accounting as n write() calls.
+     * bulk DMA path for host loads: one bounds check and the same per-word
+     * access accounting as n write() calls.
      */
     void
     writeRange(int64_t bank, int64_t addr, const T *src, int64_t n)
@@ -146,7 +156,8 @@ class BankedScratchpad
         checkAddr(bank, addr);
         checkAddr(bank, addr + n - 1);
         stats_.word_writes += n;
-        std::copy(src, src + n, data_.begin() + ptrdiff_t(bank * depth_ + addr));
+        growTo(addr + n);
+        for (int64_t j = 0; j < n; ++j) data_[index(bank, addr + j)] = src[j];
     }
 
     /** Bulk peek of @p n contiguous words of one bank (no access stats,
@@ -157,8 +168,7 @@ class BankedScratchpad
         if (n <= 0) return;
         checkAddr(bank, addr);
         checkAddr(bank, addr + n - 1);
-        const auto at = data_.begin() + ptrdiff_t(bank * depth_ + addr);
-        std::copy(at, at + ptrdiff_t(n), dst);
+        for (int64_t j = 0; j < n; ++j) dst[j] = at(bank, addr + j);
     }
 
     /**
@@ -196,8 +206,36 @@ class BankedScratchpad
                       " out of range (", depth_, ")");
     }
 
+    size_t
+    index(int64_t bank, int64_t addr) const
+    {
+        return size_t(addr * num_banks_ + bank);
+    }
+
+    T
+    at(int64_t bank, int64_t addr) const
+    {
+        const size_t i = index(bank, addr);
+        return i < data_.size() ? data_[i] : fill_;
+    }
+
+    /** Make addresses [0, lines) storable: double the stored lines until
+     *  they cover @p lines, never past depth(). */
+    void
+    growTo(int64_t lines)
+    {
+        int64_t stored = int64_t(data_.size()) / num_banks_;
+        if (lines <= stored) return;
+        stored = std::max<int64_t>(stored, 1);
+        while (stored < lines) stored *= 2;
+        stored = std::min(stored, depth_);
+        data_.reserve(size_t(stored * num_banks_));
+        data_.resize(size_t(stored * num_banks_), fill_);
+    }
+
     int64_t num_banks_ = 0;
     int64_t depth_ = 0;
+    T fill_{};
     std::vector<T> data_;
     AccessStats stats_;
 };

@@ -312,6 +312,49 @@ Daemon::closeIntake()
     intake_cv_.notify_all();
 }
 
+std::shared_future<Daemon::EvalOutcome>
+Daemon::evaluation(model::Scheduler &sched, const model::ModelGraph &graph)
+{
+    const model::SchedulerOptions &o = sched.options();
+    const std::string key =
+        strCat(graph.name, "|", sim::toString(o.engine), "|",
+               o.aw > 0 ? o.aw : graph.default_aw, "x",
+               o.ah > 0 ? o.ah : graph.default_ah);
+    std::promise<EvalOutcome> promise;
+    std::shared_future<EvalOutcome> memo;
+    bool owner = false;
+    {
+        std::lock_guard<std::mutex> lk(memo_mu_);
+        auto [it, inserted] = memo_.try_emplace(key);
+        if (inserted) {
+            it->second = promise.get_future().share();
+            owner = true;
+        }
+        memo = it->second;
+    }
+    if (!owner) {
+        // The plan lookups evaluate() would have made: the shared cache's
+        // hit counters (a report field) stay one evaluation per request.
+        (void)sched.enumerate(graph);
+        return memo;
+    }
+    EvalOutcome out;
+    try {
+        out.eval = sched.evaluate(graph, &out.error);
+    } catch (const std::exception &e) {
+        out.error = e.what();
+    }
+    promise.set_value(std::move(out));
+    return memo;
+}
+
+size_t
+Daemon::memoizedEvaluations() const
+{
+    std::lock_guard<std::mutex> lk(memo_mu_);
+    return memo_.size();
+}
+
 void
 Daemon::execute(Pending *p, ExecVariant *v)
 {
@@ -362,11 +405,15 @@ Daemon::execute(Pending *p, ExecVariant *v)
             model::SchedulerOptions mopts = schedulerOptions(p->req);
             mopts.seed = seed;
             model::Scheduler sched(mopts);
-            std::string err;
-            const std::optional<model::Evaluation> eval =
-                sched.evaluate(*graph, &err);
+            const std::shared_future<EvalOutcome> memo =
+                evaluation(sched, *graph);
+            const EvalOutcome &evaluated = memo.get();
+            std::string err = evaluated.error;
             std::optional<model::ScheduleResult> result;
-            if (eval) result = sched.schedule(*graph, *eval, *policy, &err);
+            if (evaluated.eval) {
+                result =
+                    sched.schedule(*graph, *evaluated.eval, *policy, &err);
+            }
             if (!result) {
                 r.error = err;
             } else {

@@ -15,6 +15,12 @@
  *     speculative, continuous execution with no wave barrier. Model
  *     requests are pre-planned through model::Scheduler::enumerate, so
  *     admission warms exactly the plan points their execution looks up.
+ *   - A model request's candidate evaluation (model::Scheduler::evaluate)
+ *     depends only on (graph, engine, resolved array shape), so the
+ *     daemon runs it once per key for its whole lifetime and every later
+ *     request of that key reuses the table. Each request still picks and
+ *     measures its own chain (Scheduler::schedule) with its own seed, so
+ *     every response is still cycle-accurate and verified bit-exactly.
  *   - run() — the event loop, on the caller's thread — consumes requests
  *     in intake order and feeds their arrivals to the VirtualScheduler,
  *     which decides admission and virtual timing. Responses (one JSON
@@ -39,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -113,6 +120,10 @@ class Daemon
 
     serve::PlanCache &cache() { return cache_; }
     const DaemonOptions &options() const { return opts_; }
+
+    /** Distinct (graph, engine, shape) candidate evaluations held so far:
+     *  one per key, however many requests shared it. */
+    size_t memoizedEvaluations() const;
 
   private:
     /** Outcome of one speculative execution (filled on a pool thread). */
@@ -251,6 +262,27 @@ class Daemon
      *  execution: the shared cache, the engine, and aw/ah or the fleet. */
     model::SchedulerOptions schedulerOptions(const Request &req);
 
+    /** A model graph's candidate evaluation: the table, or why it could
+     *  not be built. */
+    struct EvalOutcome
+    {
+        std::optional<model::Evaluation> eval;
+        std::string error;
+    };
+
+    /**
+     * @p graph's candidate evaluation under @p sched, memoized for the
+     * daemon's lifetime by (graph, engine, resolved shape). Single
+     * flight: the first request of a key runs sched.evaluate on its pool
+     * thread, and concurrent requests of that key wait on its future
+     * (they cannot deadlock: the owner is already running, and evaluate
+     * uses its own pool). Later requests still look their plan points up
+     * through Scheduler::enumerate, so the shared cache's counters are
+     * those of one evaluation per request.
+     */
+    std::shared_future<EvalOutcome> evaluation(model::Scheduler &sched,
+                                               const model::ModelGraph &graph);
+
     /** The speculative execution body (pool thread). */
     void execute(Pending *p, ExecVariant *v);
 
@@ -281,6 +313,9 @@ class Daemon
      *  keeping per-client counters deterministic. */
     std::unordered_set<std::string> planned_keys_;
     std::map<std::string, ClientStats> clients_;
+    /** evaluation()'s memo, keyed "graph|engine|AWxAH"; never shrinks. */
+    mutable std::mutex memo_mu_;
+    std::map<std::string, std::shared_future<EvalOutcome>> memo_;
     uint64_t failures_ = 0;
     uint64_t total_requests_ = 0;
 

@@ -60,10 +60,10 @@ parseEntry(const std::string &entry, FleetDevice *out, std::string *error)
                             kMaxFeatherRows, ")");
             return false;
         }
-        if ((cols & (cols - 1)) != 0) {
+        if (cols < 2 || (cols & (cols - 1)) != 0) {
             *error = strCat("bad --fleet entry '", entry,
-                            "' (BIRRD needs a power-of-two column count, "
-                            "got ",
+                            "' (BIRRD needs a power-of-two column count "
+                            ">= 2, got ",
                             cols, ")");
             return false;
         }

@@ -340,9 +340,16 @@ Scheduler::evaluate(const ModelGraph &graph, std::string *error)
                 ropts.quant.multiplier = ml.multiplier;
                 try {
                     const sim::RunResult r = sim::runLayer(ml.spec, ropts);
+                    // The cycle tier verifies every candidate against the
+                    // reference operator; a mismatching one is never
+                    // ranked. (The analytic tier produces no outputs.)
+                    if (opts_.engine == sim::EngineMode::Cycle &&
+                        !r.bitExact()) {
+                        slot.error = "output mismatch";
+                        return;
+                    }
                     cand.est_cycles = r.stats.cycles;
                     cand.macs = r.stats.macs;
-                    cand.bit_exact = r.bitExact();
                 } catch (const std::exception &e) {
                     slot.error = e.what();
                 }

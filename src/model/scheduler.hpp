@@ -17,10 +17,11 @@
  *      requests through this step too, so it is the one place that
  *      decides which plan points a graph looks up.
  *   2. Candidate evaluation — each unique candidate is simulated
- *      standalone (concordant layouts, bit-exact verification against the
- *      reference operators) in parallel on a serve::ThreadPool. Results
- *      land in pre-sized slots with per-candidate derived RNG streams, so
- *      the outcome is bit-identical at any thread count.
+ *      standalone (concordant layouts; on the cycle tier, a candidate whose
+ *      output mismatches the reference operators fails the evaluation) in
+ *      parallel on a serve::ThreadPool. Results land in pre-sized slots
+ *      with per-candidate derived RNG streams, so the outcome is
+ *      bit-identical at any thread count.
  *   3. Edge pricing — switching from layer i's candidate a to layer
  *      i+1's candidate b costs reorderCost(a.out_layout, b.in_layout):
  *      the BIRRD reorder cycles needed to convert the intermediate tensor
@@ -129,9 +130,6 @@ struct Candidate
     sim::LayerPlan plan;
     int64_t est_cycles = 0; ///< standalone run under concordant layouts
     int64_t macs = 0;
-    /** Verified against the reference operator. Always false under the
-     *  analytic engine, which estimates without producing outputs. */
-    bool bit_exact = false;
     /** Fleet device index this candidate runs on; -1 outside fleet mode.
      *  Fleet evaluations flatten per-device candidate lists into one
      *  tagged list per layer, so the DP/greedy/fixed policies search
@@ -305,7 +303,9 @@ class Scheduler
 
     /** Steps 1-3: enumerate(), simulate every unique candidate in
      *  parallel, and price every layer-to-layer edge. nullopt with
-     *  @p error set when enumeration or a candidate run fails. */
+     *  @p error set when enumeration or a candidate run fails (on the
+     *  cycle tier, an output mismatch is a failure). Candidate cycles
+     *  and MACs depend only on (layer, plan), never on the seed. */
     std::optional<Evaluation> evaluate(const ModelGraph &graph,
                                        std::string *error = nullptr);
 

@@ -8,6 +8,7 @@
 
 #include "buffer/scratchpad.hpp"
 #include "buffer/spec.hpp"
+#include "common/bits.hpp"
 
 namespace feather {
 namespace {
@@ -137,6 +138,74 @@ TEST(BankedScratchpad, LoadWithLayout)
             }
         }
     }
+}
+
+TEST(BankedScratchpad, UnwrittenLinesReadAsTheFillValue)
+{
+    BankedScratchpad<int8_t> stab(4, 1024, int8_t(-7));
+    EXPECT_EQ(stab.storedWords(), 0u);
+    EXPECT_EQ(stab.read(2, 500), -7);
+    EXPECT_EQ(stab.peek(3, 1023), -7);
+    stab.write(0, 3, 5);
+    EXPECT_EQ(stab.peek(0, 3), 5);
+    EXPECT_EQ(stab.peek(1, 3), -7); // same line, another bank
+    EXPECT_EQ(stab.peek(0, 2), -7); // stored but never written
+    EXPECT_EQ(stab.read(0, 900), -7); // past the stored lines
+    int8_t burst[3] = {0, 0, 0};
+    stab.peekRange(2, 700, burst, 3);
+    EXPECT_EQ(burst[0], -7);
+    EXPECT_EQ(burst[2], -7);
+}
+
+TEST(BankedScratchpad, DepthIsTheCapacity)
+{
+    BankedScratchpad<int8_t> stab(4, 100);
+    stab.write(3, 99, 1); // the last line of a non-power-of-two depth
+    EXPECT_EQ(stab.peek(3, 99), 1);
+    EXPECT_EQ(stab.storedWords(), 100u * 4u) << "capped at the depth";
+    EXPECT_DEATH(stab.write(0, 100, 1), "addr 100 out of range");
+    const int8_t two[2] = {1, 2};
+    EXPECT_DEATH(stab.writeRange(0, 99, two, 2), "addr 100 out of range");
+}
+
+TEST(BankedScratchpad, RangesRoundTripAcrossBanks)
+{
+    BankedScratchpad<int8_t> stab(4, 64);
+    // Each bank gets its own run at its own address; runs in neighbouring
+    // banks share lines and must not clobber each other.
+    for (int64_t bank = 0; bank < 4; ++bank) {
+        std::vector<int8_t> run(size_t(5 + bank));
+        for (size_t j = 0; j < run.size(); ++j) {
+            run[j] = int8_t(bank * 32 + int64_t(j));
+        }
+        stab.writeRange(bank, 2 + bank, run.data(), int64_t(run.size()));
+    }
+    EXPECT_EQ(stab.stats().word_writes, 5 + 6 + 7 + 8);
+    for (int64_t bank = 0; bank < 4; ++bank) {
+        std::vector<int8_t> back(size_t(5 + bank), -1);
+        stab.peekRange(bank, 2 + bank, back.data(), int64_t(back.size()));
+        for (size_t j = 0; j < back.size(); ++j) {
+            EXPECT_EQ(back[j], int8_t(bank * 32 + int64_t(j)));
+            EXPECT_EQ(stab.peek(bank, 2 + bank + int64_t(j)), back[j]);
+        }
+        EXPECT_EQ(stab.peek(bank, 1 + bank), 0) << "before the run";
+    }
+}
+
+TEST(BankedScratchpad, StorageFollowsTheHighestLineWritten)
+{
+    const int64_t banks = 8;
+    BankedScratchpad<int8_t> stab(banks, int64_t(1) << 20);
+    for (const int64_t addr : {int64_t(0), int64_t(5), int64_t(6),
+                               int64_t(1000), int64_t(4096)}) {
+        stab.write(1, addr, 1);
+        // Lines touched (addr + 1), rounded up by doubling, times banks.
+        EXPECT_LE(stab.storedWords(),
+                  size_t(nextPow2(uint64_t(addr + 1)) * uint64_t(banks)))
+            << addr;
+        EXPECT_GE(stab.storedWords(), size_t((addr + 1) * banks)) << addr;
+    }
+    EXPECT_LT(stab.storedWords(), size_t(stab.depth() * banks) / 64);
 }
 
 TEST(PingPong, SwapRoles)

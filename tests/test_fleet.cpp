@@ -105,6 +105,11 @@ TEST(FleetSpec, RejectsMalformedShapes)
     // BIRRD needs a power-of-two column count.
     EXPECT_FALSE(parseFleetSpec("feather:12x8", &fleet, &error));
     EXPECT_NE(error.find("power-of-two"), std::string::npos) << error;
+    // 1 is a power of two, but BIRRD needs at least two inputs.
+    EXPECT_FALSE(parseFleetSpec("feather:1x1", &fleet, &error));
+    EXPECT_NE(error.find("feather:1x1"), std::string::npos) << error;
+    EXPECT_NE(error.find(">= 2"), std::string::npos) << error;
+    EXPECT_TRUE(parseFleetSpec("feather:2x1", &fleet, &error)) << error;
     EXPECT_FALSE(parseFleetSpec("", &fleet, &error));
     EXPECT_NE(error.find("no devices"), std::string::npos) << error;
 }
@@ -387,6 +392,7 @@ struct DaemonRun
     std::vector<std::string> responses;
     DaemonReport report;
     uint64_t failures = 0;
+    size_t memoized_evaluations = 0;
 };
 
 DaemonRun
@@ -402,6 +408,7 @@ runDaemon(const std::vector<Request> &requests, DaemonOptions opts)
     daemon.closeIntake();
     out.report = daemon.run();
     out.failures = daemon.failures();
+    out.memoized_evaluations = daemon.memoizedEvaluations();
     return out;
 }
 
@@ -620,6 +627,10 @@ TEST(FleetCli, RejectsConflictsAndBadValuesNamingTheFlag)
                                &config, &error));
     EXPECT_NE(error.find("--place"), std::string::npos) << error;
     EXPECT_NE(error.find("least-loaded"), std::string::npos) << error;
+
+    EXPECT_FALSE(parseServeCli({"--stdin", "--fleet", "feather:1x1"},
+                               &config, &error));
+    EXPECT_NE(error.find("feather:1x1"), std::string::npos) << error;
 
     EXPECT_FALSE(parseServeCli({"--stdin", "--fleet", "warp-core"},
                                &config, &error));
@@ -908,6 +919,140 @@ TEST(GraphOverFleet, MixedTraceIsBitIdenticalAcrossJobs)
               golden::zeroWallJson(b.report.toJson()));
 }
 
+/** 20 "model" requests over the three built-in graphs, two clients. Some
+ *  pin the graph's default shape (the same memo key as leaving it
+ *  unset), some another shape or the analytic tier (keys of their own),
+ *  and every one pins its seed. */
+std::vector<Request>
+repeatedModelTrace()
+{
+    const std::vector<std::string> graphs = model::modelNames();
+    std::vector<Request> reqs;
+    for (int i = 0; i < 20; ++i) {
+        Request req;
+        req.id = strCat("m", i);
+        req.client = strCat("c", i % 2);
+        req.model = graphs[size_t(i) % graphs.size()];
+        req.arrival_us = int64_t(i) * 100;
+        req.seed = uint64_t(1000 + i);
+        const model::ModelGraph *g = model::findModel(req.model);
+        if (i == 1 || i == 4) { // pins graphs[1]'s default: no new key
+            req.aw = g->default_aw;
+            req.ah = g->default_ah;
+        }
+        if (i == 13) { // graphs[1] at another shape: a key of its own
+            req.aw = 2 * g->default_aw;
+            req.ah = 2 * g->default_ah;
+        }
+        if (i == 3 || i == 17) { // graphs[0] and [2]: keys of their own
+            req.engine = sim::EngineMode::Analytic;
+        }
+        reqs.push_back(req);
+    }
+    return reqs;
+}
+
+/** Distinct (graph, engine, resolved shape) keys of @p reqs. */
+size_t
+distinctEvaluationKeys(const std::vector<Request> &reqs,
+                       sim::EngineMode default_engine)
+{
+    std::set<std::string> keys;
+    for (const Request &req : reqs) {
+        const model::ModelGraph *g = model::findModel(req.model);
+        keys.insert(strCat(req.model, "|",
+                           sim::toString(req.engine ? *req.engine
+                                                    : default_engine),
+                           "|", req.aw > 0 ? req.aw : g->default_aw, "x",
+                           req.ah > 0 ? req.ah : g->default_ah));
+    }
+    return keys.size();
+}
+
+TEST(EvaluationMemo, OneEvaluationPerKeyAndIdenticalResponsesAtAnyJobs)
+{
+    const std::vector<Request> reqs = repeatedModelTrace();
+    const size_t keys = distinctEvaluationKeys(reqs, sim::EngineMode::Cycle);
+    ASSERT_EQ(keys, 6u) << "3 graphs + one other shape + two analytic";
+    std::vector<DaemonRun> runs;
+    for (const int jobs : {1, 4, 8}) {
+        DaemonOptions opts;
+        opts.num_threads = jobs;
+        runs.push_back(runDaemon(reqs, opts));
+        EXPECT_EQ(runs.back().memoized_evaluations, keys) << jobs;
+        EXPECT_EQ(runs.back().failures, 0u) << jobs;
+    }
+    for (const DaemonRun &run : runs) {
+        ASSERT_EQ(run.responses.size(), reqs.size());
+        for (size_t i = 0; i < reqs.size(); ++i) {
+            EXPECT_EQ(golden::zeroWallJson(run.responses[i]),
+                      golden::zeroWallJson(runs[0].responses[i]))
+                << "response " << i;
+        }
+        EXPECT_EQ(golden::zeroWallJson(run.report.toJson()),
+                  golden::zeroWallJson(runs[0].report.toJson()));
+    }
+
+    // A shared evaluation answers exactly as a fresh one would: each
+    // response matches its own Scheduler, evaluated at its own seed.
+    std::map<std::string, std::string> by_id;
+    for (const std::string &line : runs[0].responses) {
+        const size_t at = line.find("\"id\":\"") + 6;
+        by_id[line.substr(at, line.find('"', at) - at)] = line;
+    }
+    for (const Request &req : reqs) {
+        model::SchedulerOptions mopts;
+        mopts.aw = req.aw;
+        mopts.ah = req.ah;
+        mopts.seed = *req.seed;
+        mopts.engine = req.engine ? *req.engine : sim::EngineMode::Cycle;
+        mopts.num_threads = 4;
+        model::Scheduler sched(mopts);
+        const model::ModelGraph &g = *model::findModel(req.model);
+        std::string error;
+        const std::optional<model::Evaluation> eval =
+            sched.evaluate(g, &error);
+        ASSERT_TRUE(eval.has_value()) << error;
+        const std::optional<model::ScheduleResult> res = sched.schedule(
+            g, *eval, *model::parseSchedule(req.schedule), &error);
+        ASSERT_TRUE(res.has_value()) << error;
+        const std::string &line = by_id[req.id];
+        EXPECT_NE(line.find(strCat("\"status\":\"ok\",\"cycles\":",
+                                   res->cycles, ",\"macs\":", res->macs,
+                                   ",\"checked\":", res->checked,
+                                   ",\"mismatches\":0,")),
+                  std::string::npos)
+            << req.id << ": " << line;
+    }
+}
+
+TEST(EvaluationMemo, FleetGraphRequestsShareOneEvaluationPerGraph)
+{
+    std::vector<Request> reqs = repeatedModelTrace();
+    for (Request &req : reqs) {
+        req.aw = 0;
+        req.ah = 0;
+        req.engine.reset();
+    }
+    std::vector<DaemonRun> runs;
+    for (const int jobs : {1, 8}) {
+        runs.push_back(runDaemon(
+            reqs, fleetOptions("feather:16x16,feather:32x32,tpu-like",
+                               PlacementPolicy::LeastLoaded, jobs)));
+        EXPECT_EQ(runs.back().memoized_evaluations,
+                  model::modelNames().size());
+        EXPECT_EQ(runs.back().failures, 0u);
+    }
+    ASSERT_EQ(runs[0].responses.size(), runs[1].responses.size());
+    for (size_t i = 0; i < runs[0].responses.size(); ++i) {
+        EXPECT_EQ(golden::zeroWallJson(runs[0].responses[i]),
+                  golden::zeroWallJson(runs[1].responses[i]))
+            << "response " << i;
+    }
+    EXPECT_EQ(golden::zeroWallJson(runs[0].report.toJson()),
+              golden::zeroWallJson(runs[1].report.toJson()));
+}
+
 TEST(GraphOverFleet, SameClientStreamPaysTheMigrationHandoff)
 {
     // c0's first graph request parks its stream on the pipeline's last
@@ -1022,6 +1167,7 @@ replaySmoke(const SmokeConfig &smoke, int jobs)
     daemon.closeIntake();
     out.report = daemon.run();
     out.failures = daemon.failures();
+    out.memoized_evaluations = daemon.memoizedEvaluations();
     return out;
 }
 

@@ -14,7 +14,11 @@
  *     single-device placement (100+ seed-derived cases);
  *   - edge pricing: model::handoffCost is zero on-device, scales with
  *     tensor bytes, and charges only the link term on concordant
- *     hand-offs.
+ *     hand-offs;
+ *   - seed independence: an evaluation's candidate table and edge prices
+ *     depend only on (graph, engine, shape), never on the input seed —
+ *     the precondition for the daemon sharing one evaluation between
+ *     every request of a key.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/log.hpp"
 #include "model/fleet.hpp"
 #include "model/graph.hpp"
 #include "model/scheduler.hpp"
@@ -507,6 +512,58 @@ TEST(GraphFleet, DeviceWiderThanBirrdIsSkipped)
     EXPECT_FALSE(alone.evaluate(*graph, &error).has_value());
     EXPECT_NE(error.find("AW=128"), std::string::npos) << error;
     EXPECT_NE(error.find("64"), std::string::npos) << error;
+}
+
+TEST(GraphFleet, EvaluationDependsOnlyOnGraphEngineAndShape)
+{
+    // Candidate cycles and MACs come from (layer, plan) alone: two seeds
+    // (different input tensors) must give the same table, on both tiers,
+    // single-device and across the CI fleet, for every built-in graph.
+    for (const std::string &name : modelNames()) {
+        const ModelGraph *graph = findModel(name);
+        ASSERT_NE(graph, nullptr);
+        for (const sim::EngineMode engine :
+             {sim::EngineMode::Cycle, sim::EngineMode::Analytic}) {
+            for (const bool fleet : {false, true}) {
+                SCOPED_TRACE(strCat(name, " ", sim::toString(engine),
+                                    fleet ? " fleet" : " single"));
+                std::vector<Evaluation> evals;
+                for (const uint64_t seed : {uint64_t(1), uint64_t(4242)}) {
+                    SchedulerOptions opts =
+                        fleet ? fleetOptions(kCiFleet, engine, 4)
+                              : SchedulerOptions{};
+                    opts.engine = engine;
+                    opts.num_threads = 4;
+                    opts.seed = seed;
+                    Scheduler sched{opts};
+                    std::string error;
+                    const std::optional<Evaluation> eval =
+                        sched.evaluate(*graph, &error);
+                    ASSERT_TRUE(eval.has_value()) << error;
+                    evals.push_back(*eval);
+                }
+                const Evaluation &a = evals[0];
+                const Evaluation &b = evals[1];
+                ASSERT_EQ(a.layers.size(), b.layers.size());
+                for (size_t i = 0; i < a.layers.size(); ++i) {
+                    ASSERT_EQ(a.layers[i].size(), b.layers[i].size());
+                    for (size_t c = 0; c < a.layers[i].size(); ++c) {
+                        const Candidate &x = a.layers[i][c];
+                        const Candidate &y = b.layers[i][c];
+                        EXPECT_EQ(x.est_cycles, y.est_cycles);
+                        EXPECT_EQ(x.macs, y.macs);
+                        EXPECT_EQ(x.kinds, y.kinds);
+                        EXPECT_EQ(x.device, y.device);
+                        EXPECT_EQ(x.plan.mapping.toString(),
+                                  y.plan.mapping.toString());
+                        EXPECT_EQ(x.plan.in_layout, y.plan.in_layout);
+                        EXPECT_EQ(x.plan.out_layout, y.plan.out_layout);
+                    }
+                }
+                EXPECT_EQ(a.edges, b.edges);
+            }
+        }
+    }
 }
 
 TEST(GraphFleet, StagesAreTheContiguousSameDeviceRuns)

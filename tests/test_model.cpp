@@ -278,6 +278,8 @@ TEST(Scheduler, EnumeratesAndEvaluatesCandidates)
     ASSERT_NE(g, nullptr);
     Scheduler s;
     std::string error;
+    // On the cycle tier, evaluate() fails unless every candidate's output
+    // matches the reference operator, so a table means all verified.
     const auto eval = s.evaluate(*g, &error);
     ASSERT_TRUE(eval.has_value()) << error;
     ASSERT_EQ(eval->layers.size(), 3u);
@@ -286,7 +288,6 @@ TEST(Scheduler, EnumeratesAndEvaluatesCandidates)
         for (const Candidate &c : cands) {
             EXPECT_GT(c.est_cycles, 0);
             EXPECT_GT(c.macs, 0);
-            EXPECT_TRUE(c.bit_exact);
             EXPECT_FALSE(c.kinds.empty());
         }
     }
